@@ -13,7 +13,8 @@ curves have the familiar waterfall shape: ~0 above the rate's minimum SNR and
 from __future__ import annotations
 
 import math
-from typing import Union
+from functools import lru_cache
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import erfc
@@ -172,13 +173,26 @@ def packet_success_rate(snr_db: ArrayLike, rate: RateInfo, payload_bytes: int = 
     return 1.0 - packet_error_rate(snr_db, rate, payload_bytes)
 
 
+@lru_cache(maxsize=16)
+def _gauss_hermite_rule(n_points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss-Hermite nodes and weights, computed once per size.
+
+    ``hermegauss`` solves an eigenvalue problem; the rule is a pure function
+    of ``n_points``, so it is cached and handed out read-only.
+    """
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n_points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def average_packet_success_rate(
-    mean_snr_db: float,
+    mean_snr_db: ArrayLike,
     rate: RateInfo,
     payload_bytes: int = 1400,
     sigma_db: float = 0.0,
     n_points: int = 33,
-) -> float:
+) -> ArrayLike:
     """Delivery rate averaged over Gaussian (dB) SNR variation around a mean.
 
     Real links measured over many seconds see the SNR wander (residual fading,
@@ -187,12 +201,20 @@ def average_packet_success_rate(
     the instantaneous success probability over that variation; this helper
     computes it by Gauss-Hermite quadrature over a normal dB perturbation with
     standard deviation ``sigma_db``.
+
+    An array of mean SNRs gives an array of delivery rates, each equal to the
+    scalar call on that element; a scalar gives a Python ``float``.
     """
-    if sigma_db < 0:
-        raise ValueError("sigma must be non-negative")
+    if not math.isfinite(sigma_db) or sigma_db < 0:
+        raise ValueError("sigma must be finite and non-negative")
+    if n_points < 1:
+        raise ValueError("need at least one quadrature point")
     if sigma_db == 0.0:
-        return float(packet_success_rate(mean_snr_db, rate, payload_bytes))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_points)
-    snr_values = mean_snr_db + sigma_db * nodes
+        return packet_success_rate(mean_snr_db, rate, payload_bytes)
+    nodes, weights = _gauss_hermite_rule(n_points)
+    snr_values = np.asarray(mean_snr_db, dtype=float)[..., np.newaxis] + sigma_db * nodes
     success = np.asarray(packet_success_rate(snr_values, rate, payload_bytes))
-    return float(np.sum(weights * success) / np.sum(weights))
+    average = np.sum(weights * success, axis=-1) / np.sum(weights)
+    if np.ndim(mean_snr_db) == 0:
+        return float(average)
+    return average

@@ -71,6 +71,15 @@ class TestbedLayout:
         na, nb = self._by_id[a], self._by_id[b]
         return float(np.hypot(na.x - nb.x, na.y - nb.y))
 
+    def distance_matrix(self) -> np.ndarray:
+        """Horizontal distances (m) between all nodes, in :attr:`node_ids` order.
+
+        Entry ``[i, j]`` equals ``distance(node_ids[i], node_ids[j])`` exactly.
+        """
+        x = np.array([node.x for node in self.nodes])
+        y = np.array([node.y for node in self.nodes])
+        return np.hypot(x[:, np.newaxis] - x, y[:, np.newaxis] - y)
+
     def same_floor(self, a: str, b: str) -> bool:
         return self._by_id[a].floor == self._by_id[b].floor
 

@@ -9,6 +9,12 @@ This module provides those measurements on the synthetic testbed.  Delivery
 probing uses the PHY error model directly (equivalent to sending a large
 number of probe frames on an otherwise idle channel); RSSI probing reads the
 channel's link budget, optionally adding measurement noise.
+
+Probing a whole layout is one matrix pass: the clamped distance matrix and
+the channel's rx-power matrix are built once, and the delivery model is
+evaluated per sender row.  Every entry equals what :func:`measure_link`
+reports for that pair, and any shadowing the channel has not drawn yet is
+drawn in the order the per-link loop would draw it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ def measure_link(
     ``probe_variation_db`` around the link's mean SNR (see
     :data:`DEFAULT_PROBE_VARIATION_DB`).
     """
+    if src == dst:
+        raise ValueError(f"cannot probe a link from {src!r} to itself")
     if probe_rate is None:
         probe_rate = rate_by_mbps(6.0)
     distance = max(layout.distance(src, dst), 1.0)
@@ -81,19 +89,45 @@ def measure_link(
     )
 
 
+def _probe_matrices(layout: TestbedLayout) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """Node ids, clamped distance matrix and rx-power matrix (dBm) of a layout.
+
+    Distances are clamped to 1 m as in :func:`measure_link`; missing
+    shadowing values are drawn in ``(i, j), i < j`` row-major order, the order
+    a per-pair loop over the layout meets them.
+    """
+    ids = layout.node_ids
+    distance = np.maximum(layout.distance_matrix(), 1.0)
+    return ids, distance, layout.channel.rx_power_matrix(ids, distance)
+
+
 def measure_all_links(
     layout: TestbedLayout,
     probe_rate: Optional[RateInfo] = None,
     payload_bytes: int = EXPERIMENT_PAYLOAD_BYTES,
 ) -> List[LinkMeasurement]:
-    """Probe every ordered node pair in the testbed."""
+    """Probe every ordered node pair in the testbed, in ``(src, dst)`` order.
+
+    The result equals calling :func:`measure_link` on each pair in turn, and
+    leaves the channel's shadowing cache and RNG in the same state.
+    """
+    if probe_rate is None:
+        probe_rate = rate_by_mbps(6.0)
+    ids, distance, rx_dbm = _probe_matrices(layout)
+    snr_db = rx_dbm - layout.channel.noise_floor_dbm
+    distance_m, rssi_dbm, link_snr_db = distance.tolist(), rx_dbm.tolist(), snr_db.tolist()
     measurements: List[LinkMeasurement] = []
-    ids = layout.node_ids
-    for src in ids:
-        for dst in ids:
-            if src == dst:
-                continue
-            measurements.append(measure_link(layout, src, dst, probe_rate, payload_bytes))
+    for i, src in enumerate(ids):
+        others = [j for j in range(len(ids)) if j != i]
+        delivery = average_packet_success_rate(
+            snr_db[i, others], probe_rate, payload_bytes, sigma_db=DEFAULT_PROBE_VARIATION_DB
+        )
+        measurements.extend(
+            LinkMeasurement(
+                src, ids[j], distance_m[i][j], rssi_dbm[i][j], link_snr_db[i][j], rate
+            )
+            for j, rate in zip(others, delivery.tolist())
+        )
     return measurements
 
 
@@ -105,29 +139,22 @@ def rssi_survey(
 ) -> Dict[str, np.ndarray]:
     """All-pairs RSSI survey in the style of the Figure 14 dataset.
 
-    Returns arrays of distances and SNRs for *detected* links plus the
-    distances of censored (undetected) links, ready to feed into
+    Each unordered pair ``(i, j), i < j`` is surveyed once, in row-major
+    order, with its own Gaussian measurement-noise draw.  Returns arrays of
+    distances and SNRs for *detected* links plus the distances of censored
+    (undetected) links, ready to feed into
     :func:`repro.propagation.fitting.fit_path_loss_shadowing`.
     """
     rng = np.random.default_rng(seed)
-    detected_distances: List[float] = []
-    detected_snr_db: List[float] = []
-    censored_distances: List[float] = []
-    ids = layout.node_ids
+    ids, distance, rx_dbm = _probe_matrices(layout)
     noise_floor = layout.channel.noise_floor_dbm
-    for i, src in enumerate(ids):
-        for dst in ids[i + 1 :]:
-            distance = max(layout.distance(src, dst), 1.0)
-            budget = layout.channel.link_budget(src, dst, distance)
-            rssi = budget.rx_power_dbm + float(rng.normal(0.0, measurement_noise_db))
-            if rssi >= detection_threshold_dbm:
-                detected_distances.append(distance)
-                detected_snr_db.append(rssi - noise_floor)
-            else:
-                censored_distances.append(distance)
+    iu, ju = np.triu_indices(len(ids), k=1)
+    pair_distance = distance[iu, ju]
+    rssi = rx_dbm[iu, ju] + rng.normal(0.0, measurement_noise_db, size=iu.size)
+    detected = rssi >= detection_threshold_dbm
     return {
-        "distances": np.asarray(detected_distances),
-        "snr_db": np.asarray(detected_snr_db),
-        "censored_distances": np.asarray(censored_distances),
+        "distances": pair_distance[detected],
+        "snr_db": rssi[detected] - noise_floor,
+        "censored_distances": pair_distance[~detected],
         "detection_threshold_snr_db": np.asarray(detection_threshold_dbm - noise_floor),
     }

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.capacity.error_models import (
+    _gauss_hermite_rule,
     average_packet_success_rate,
     ber_bpsk,
     ber_mqam,
@@ -155,6 +156,50 @@ class TestAveragePacketSuccess:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             average_packet_success_rate(10.0, rate_by_mbps(6.0), sigma_db=-1.0)
+
+    @pytest.mark.parametrize("sigma_db", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma_db):
+        with pytest.raises(ValueError):
+            average_packet_success_rate(10.0, rate_by_mbps(6.0), sigma_db=sigma_db)
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_too_few_quadrature_points_rejected(self, n_points):
+        with pytest.raises(ValueError):
+            average_packet_success_rate(10.0, rate_by_mbps(6.0), sigma_db=8.0, n_points=n_points)
+
+    @given(
+        snrs=st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=40),
+        sigma_db=st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
+        rate=st.sampled_from(OFDM_RATES),
+        payload=st.sampled_from([1, 100, 1400]),
+    )
+    def test_array_form_equals_scalar_calls(self, snrs, sigma_db, rate, payload):
+        batched = average_packet_success_rate(
+            np.asarray(snrs), rate, payload, sigma_db=sigma_db
+        )
+        assert isinstance(batched, np.ndarray) and batched.shape == (len(snrs),)
+        for snr, value in zip(snrs, batched.tolist()):
+            scalar = average_packet_success_rate(snr, rate, payload, sigma_db=sigma_db)
+            assert isinstance(scalar, float)
+            assert scalar == value, (snr, sigma_db, rate.mbps, payload)
+
+    def test_array_form_keeps_the_input_shape(self):
+        snrs = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        rate = rate_by_mbps(6.0)
+        batched = average_packet_success_rate(snrs, rate, sigma_db=8.0)
+        assert batched.shape == (3, 4)
+        assert batched[2, 1] == average_packet_success_rate(float(snrs[2, 1]), rate, sigma_db=8.0)
+
+    def test_quadrature_rule_is_memoised_and_read_only(self):
+        nodes, weights = _gauss_hermite_rule(33)
+        assert _gauss_hermite_rule(33)[0] is nodes
+        expected_nodes, expected_weights = np.polynomial.hermite_e.hermegauss(33)
+        assert np.array_equal(nodes, expected_nodes)
+        assert np.array_equal(weights, expected_weights)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestScalarFastPath:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.capacity.rates import rate_by_mbps
+from repro.propagation.channel import ChannelModel
 from repro.testbed.layout import generate_office_layout
 from repro.testbed.measurement import measure_all_links, measure_link, rssi_survey
 from repro.testbed.pairs import select_competing_pairs, select_links
@@ -93,6 +96,103 @@ class TestMeasurement:
         survey = rssi_survey(office_layout, detection_threshold_dbm=-80.0, seed=1)
         strict = rssi_survey(office_layout, detection_threshold_dbm=-95.0, seed=1)
         assert len(survey["censored_distances"]) > len(strict["censored_distances"])
+
+    def test_self_link_rejected_without_drawing_shadowing(self, small_layout):
+        node = small_layout.node_ids[0]
+        channel = small_layout.channel
+        state = channel.rng.bit_generator.state
+        with pytest.raises(ValueError):
+            measure_link(small_layout, node, node)
+        assert channel.rng.bit_generator.state == state
+        assert (node, node) not in channel._pair_shadowing_db
+
+
+def _partially_drawn_layout():
+    """The smoke layout's nodes on a fresh channel with a few pairs already
+    drawn (out of row-major order) and one pinned, so probing has to draw
+    the rest around them."""
+    base = generate_office_layout(
+        n_nodes=16, floors=1, floor_width_m=60.0, floor_depth_m=40.0, seed=5
+    )
+    channel = ChannelModel(
+        path_loss=base.channel.path_loss,
+        sigma_db=10.0,
+        tx_power_dbm=base.channel.tx_power_dbm,
+        rng=np.random.default_rng(42),
+    )
+    ids = base.node_ids
+    channel.shadowing_db(ids[5], ids[2])
+    channel.shadowing_db(ids[0], ids[9])
+    channel.shadowing_db(ids[14], ids[15])
+    channel.set_shadowing_db(ids[3], ids[4], -7.5)
+    return dataclasses.replace(base, channel=channel)
+
+
+_PROBE_LAYOUTS = {
+    "office": lambda: generate_office_layout(seed=7),
+    "smoke": lambda: generate_office_layout(
+        n_nodes=16, floors=1, floor_width_m=60.0, floor_depth_m=40.0, seed=5
+    ),
+    "partially-drawn": _partially_drawn_layout,
+}
+
+
+class TestBatchedProbing:
+    """``measure_all_links`` probes a layout in one matrix pass; it must be
+    indistinguishable from the per-link ``measure_link`` loop."""
+
+    @pytest.mark.parametrize("name", sorted(_PROBE_LAYOUTS))
+    def test_matches_per_link_loop(self, name):
+        reference_layout, batched_layout = _PROBE_LAYOUTS[name](), _PROBE_LAYOUTS[name]()
+        ids = reference_layout.node_ids
+        reference = [
+            measure_link(reference_layout, src, dst) for src in ids for dst in ids if src != dst
+        ]
+        batched = measure_all_links(batched_layout)
+        assert batched == reference
+        expected, actual = reference_layout.channel, batched_layout.channel
+        assert actual.rng.bit_generator.state == expected.rng.bit_generator.state
+        assert actual._pair_shadowing_db == expected._pair_shadowing_db
+
+    def test_distance_matrix_matches_pairwise_distance(self, small_layout):
+        ids = small_layout.node_ids
+        matrix = small_layout.distance_matrix()
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                assert matrix[i, j] == small_layout.distance(a, b)
+
+
+def _reference_rssi_survey(layout, detection_threshold_dbm, measurement_noise_db, seed):
+    """The per-pair survey loop: one link budget and one noise draw per pair."""
+    rng = np.random.default_rng(seed)
+    detected_distances, detected_snr_db, censored_distances = [], [], []
+    ids = layout.node_ids
+    noise_floor = layout.channel.noise_floor_dbm
+    for i, src in enumerate(ids):
+        for dst in ids[i + 1 :]:
+            distance = max(layout.distance(src, dst), 1.0)
+            budget = layout.channel.link_budget(src, dst, distance)
+            rssi = budget.rx_power_dbm + float(rng.normal(0.0, measurement_noise_db))
+            if rssi >= detection_threshold_dbm:
+                detected_distances.append(distance)
+                detected_snr_db.append(rssi - noise_floor)
+            else:
+                censored_distances.append(distance)
+    return {
+        "distances": np.asarray(detected_distances),
+        "snr_db": np.asarray(detected_snr_db),
+        "censored_distances": np.asarray(censored_distances),
+        "detection_threshold_snr_db": np.asarray(detection_threshold_dbm - noise_floor),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_rssi_survey_matches_per_pair_loop(office_layout, seed):
+    survey = rssi_survey(office_layout, detection_threshold_dbm=-92.0, seed=seed)
+    reference = _reference_rssi_survey(office_layout, -92.0, 1.0, seed)
+    assert sorted(survey) == sorted(reference)
+    for key, expected in reference.items():
+        assert np.array_equal(survey[key], expected), key
 
 
 class TestPairSelection:
