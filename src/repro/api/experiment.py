@@ -24,10 +24,11 @@ together.  ``save``/``load`` round-trip an artifact through a directory, so
 experiment outputs become cacheable, diffable files instead of transient
 dicts.
 
-The legacy module-level ``run(...) -> ExperimentResult`` functions remain
-the computational bodies; :meth:`Experiment.run` calls them and lifts their
+The module-level ``run(...) -> ExperimentResult`` functions are the
+computational bodies; :meth:`Experiment.run` calls them and lifts their
 result into an :class:`Artifact` (parity-pinned -- identical numbers either
-way).
+way).  From the command line the same path is
+``python -m repro.experiments run <id> --set key=value``.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ class Artifact:
         self.notes.append(note)
 
     def data(self) -> Dict[str, Any]:
-        """Every named payload merged into one mapping (tests, shims)."""
+        """Every named payload merged into one mapping (parity tests)."""
         merged: Dict[str, Any] = {}
         merged.update(self.tables)
         merged.update(self.series)
@@ -474,13 +475,13 @@ def _params_manifest(params: Mapping[str, Any]) -> Dict[str, Any]:
 class Experiment:
     """A declarative, registry-backed experiment harness.
 
-    ``runner`` is the computational body (the historical module-level
-    ``run(...)`` returning an ``ExperimentResult``-like object with
-    ``data``/``notes``); :meth:`build` lifts its output into an
-    :class:`Artifact`.  ``defaults`` are bound keyword arguments not exposed
-    as parameters (how one module serves two figure ids); ``series_keys``
-    name data entries that are series rather than tables; non-JSON-able
-    entries land in ``Artifact.extras`` automatically.
+    ``runner`` is the computational body (the module-level ``run(...)``
+    returning an ``ExperimentResult``-like object with ``data``/``notes``);
+    :meth:`build` lifts its output into an :class:`Artifact`.  ``defaults``
+    are bound keyword arguments not exposed as parameters (how one module
+    serves two figure ids); ``series_keys`` name data entries that are
+    series rather than tables; non-JSON-able entries land in
+    ``Artifact.extras`` automatically.
     """
 
     id: str
@@ -527,10 +528,6 @@ class Experiment:
         return self.build(self.resolve(overrides))
 
     __call__ = run
-
-    def legacy_run(self, **kwargs: Any) -> Any:
-        """The historical path: the raw ``ExperimentResult`` from the body."""
-        return self.runner(**{**dict(self.defaults), **kwargs})
 
     def _lift(self, result: Any, params: Mapping[str, Any]) -> Artifact:
         """Classify an ``ExperimentResult``'s data into typed artifact slots."""

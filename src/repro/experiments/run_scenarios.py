@@ -314,6 +314,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(result.summary())
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

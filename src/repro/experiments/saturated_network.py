@@ -15,7 +15,6 @@ warm-dispatch grouping, disk cache, and multiprocessing pool as every other
 sweep -- and aggregate into one columnar
 :class:`~repro.results.ResultSet`::
 
-    python -m repro.experiments.saturated_network
     python -m repro.experiments run saturated-network --set nodes=4,8
 """
 
@@ -163,12 +162,3 @@ EXPERIMENT = experiment(
     run,
     tags=("packet-level", "sweep"),
 )
-
-
-def main() -> int:
-    print(run().summary())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -72,23 +72,6 @@ class BatchTask:
         return config_hash({"fn": self.fn, "config": self.config})
 
 
-def _execute(payload: Tuple[int, str, Dict[str, Any]]) -> Tuple[int, Any, Optional[TaskError]]:
-    """Run one task, tagged with its position; exceptions become data.
-
-    Failures cross the process boundary as a structured
-    :class:`~repro.runner.policy.TaskError` (picklable under every start
-    method) rather than propagating: a single raising task must not abort
-    the batch and discard every completed-but-not-yet-stored result.  The
-    runner classifies, retries, and re-raises at the end.
-    """
-    index, fn_path, config = payload
-    try:
-        fn = resolve_callable(fn_path)
-        return index, fn(**config), None
-    except Exception as exc:  # noqa: BLE001 -- deliberately broad per-task isolation
-        return index, None, TaskError.from_exception(exc)
-
-
 @dataclass
 class BatchReport:
     """Execution accounting for one :meth:`BatchRunner.run` call."""

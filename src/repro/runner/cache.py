@@ -1,6 +1,6 @@
 """Disk cache for batch-task results, keyed by a stable config hash.
 
-Results are stored under ``<root>/<hh>/<hash>.json`` where ``hh`` is the
+Results are stored under ``<root>/v2/<hh>/<hash>.json`` where ``hh`` is the
 first two hex digits of the key (keeps directories small on large sweeps).
 Writes go through a temp file plus :func:`os.replace` so a crashed worker
 never leaves a half-written entry behind, and concurrent writers of the
@@ -8,17 +8,18 @@ same key are safe (last writer wins with identical content).
 
 Two result encodings share the store:
 
-* plain JSON-able results live inline in the ``.json`` entry (the original
-  format, still produced for non-columnar tasks);
+* plain JSON-able results live inline in the ``.json`` entry (non-columnar
+  tasks);
 * :class:`repro.results.ResultSet` results are written as a compact binary
   sidecar (``<hash>.npz``: compressed columns + embedded manifest) with the
   ``.json`` entry reduced to a JSON manifest pointing at it.  This is what
   keeps cache directories small on large sweeps -- flow tables compress far
   better as typed columns than as per-flow dict text.
 
-Entries written before the columnar format (plain dict scenario results)
-load unchanged; sweep-level consumers lift them through
-:meth:`repro.results.ResultSet.coerce`.
+The ``v2`` directory names the store layout, not the key: ``config_hash``
+keys are unchanged, but entries written by the first layout (directly under
+``<root>/<hh>/``, where scenario results were inline per-flow dicts) are
+never read, so they miss and their tasks re-execute.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = ["config_hash", "ResultCache"]
 
 #: Marker key identifying a JSON entry whose result lives in a binary sidecar.
 RESULTSET_MARKER = "__repro_resultset__"
+
+#: Subdirectory of the cache root holding the current store layout.
+STORE_LAYOUT = "v2"
 
 
 def _canonical(obj: Any) -> Any:
@@ -72,14 +76,15 @@ class ResultCache:
 
     def __init__(self, root: os.PathLike | str) -> None:
         self.root = Path(root).expanduser()
+        self._store = self.root / STORE_LAYOUT
         self.hits = 0
         self.misses = 0
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self._store / key[:2] / f"{key}.json"
 
     def _binary_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
+        return self._store / key[:2] / f"{key}.npz"
 
     def _evict(self, key: str) -> None:
         """Drop both files of a corrupt entry so the next ``put`` rewrites it."""
@@ -93,8 +98,8 @@ class ResultCache:
         """The cached entry for ``key`` (``{"config", "result"}``) or ``None``.
 
         Columnar entries come back with ``entry["result"]`` already loaded
-        into a :class:`~repro.results.ResultSet`; legacy inline-JSON entries
-        are returned as stored.
+        into a :class:`~repro.results.ResultSet`; inline-JSON entries are
+        returned as stored.
         """
         path = self._path(key)
         try:
@@ -175,6 +180,4 @@ class ResultCache:
         return self._path(key).exists()
 
     def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in self._store.glob("*/*.json"))

@@ -20,7 +20,7 @@ from .execute import (
     unpruned_variant,
 )
 from .spec import Scenario
-from .topologies import TOPOLOGIES, Placement, generate_topology, register_topology
+from .topologies import TOPOLOGIES, Placement, generate_topology
 
 __all__ = [
     "RUN_SCENARIO_PATH",
@@ -29,7 +29,6 @@ __all__ = [
     "TOPOLOGIES",
     "aggregate_metrics",
     "generate_topology",
-    "register_topology",
     "run_scenario",
     "scenario_group_key",
     "scenario_summaries",

@@ -20,7 +20,7 @@ submission chunks, which maximises per-worker hit rates.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,27 +104,18 @@ def scenario_group_key(task: BatchTask) -> Any:
 
 
 def scenario_summaries(
-    results: Union[ResultSet, Sequence[Any]]
+    results: Union[ResultSet, Sequence[ResultSet]]
 ) -> List[Dict[str, Any]]:
     """Flatten sweep output into one summary dict per scenario.
 
-    Accepts the columnar forms (one ResultSet, or a sequence of per-task
-    ResultSets) as well as legacy per-flow dicts -- including a mixed
-    sequence, which is what a cache-backed sweep yields when some entries
-    predate the columnar format and load through the dict shim.
+    Accepts one ResultSet or a sequence of per-task ResultSets.
     """
     if isinstance(results, ResultSet):
         return list(results.scenarios)
-    summaries: List[Dict[str, Any]] = []
-    for result in results:
-        if isinstance(result, ResultSet):
-            summaries.extend(result.scenarios)
-        else:
-            summaries.append(result)
-    return summaries
+    return [entry for result in results for entry in result.scenarios]
 
 
-def aggregate_metrics(results: Union[ResultSet, Sequence[Any]]) -> Dict[str, Any]:
+def aggregate_metrics(results: Union[ResultSet, Sequence[ResultSet]]) -> Dict[str, Any]:
     """Summarise a sweep into sweep-level statistics.
 
     Operates on the scenario index columns (array reductions over the

@@ -378,11 +378,8 @@ class Scenario:
         The set holds one flow row per directed flow (delivered/offered
         throughput and packet counts, loss fraction, and mean MAC
         enqueue-to-delivery delay from the receivers' frame timestamps) plus
-        one scenario-index entry carrying exactly the summary scalars the
-        legacy dict did.  Dict consumers keep working: single-scenario
-        subscripting (``result["total_pps"]``) and
-        :meth:`ResultSet.to_flow_dicts` expose the historical encoding
-        unchanged.
+        one scenario-index entry carrying the summary scalars
+        (``result.scenarios[0]["total_pps"]``, ``events_processed``, ...).
 
         With ``controller`` set, the run is driven through
         :class:`repro.control.env.SimEnv` in ``control_epoch_s`` windows and

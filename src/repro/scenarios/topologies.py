@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from ..registry import TOPOLOGIES
 __all__ = [
     "Placement",
     "TOPOLOGIES",
-    "register_topology",
     "generate_topology",
 ]
 
@@ -55,19 +54,6 @@ class Placement:
             return 0.0
         coords = np.asarray(list(self.positions.values()))
         return float(np.abs(coords).max())
-
-
-Generator = Callable[..., Placement]
-
-
-def register_topology(name: str) -> Callable[[Generator], Generator]:
-    """Class-less plugin hook: ``@register_topology("my_layout")``.
-
-    Kept as the historical spelling; it delegates to the shared
-    :data:`repro.registry.TOPOLOGIES` registry, which is also reachable as
-    ``repro.api.registry.TOPOLOGIES``.
-    """
-    return TOPOLOGIES.register(name)
 
 
 def generate_topology(name: str, n_nodes: int, extent: float, seed: int, **params) -> Placement:
@@ -100,7 +86,7 @@ def _pair_consecutive(order: List[str]) -> Tuple[Tuple[str, str], ...]:
     return tuple((order[i], order[i + 1]) for i in range(0, len(order) - 1, 2))
 
 
-@register_topology("uniform_disc")
+@TOPOLOGIES.register("uniform_disc")
 def uniform_disc(
     n_nodes: int, extent: float, rng: np.random.Generator, link_range_frac: float = 0.2
 ) -> Placement:
@@ -133,7 +119,7 @@ def uniform_disc(
     return Placement("uniform_disc", positions, tuple(flows))
 
 
-@register_topology("grid")
+@TOPOLOGIES.register("grid")
 def grid(
     n_nodes: int, extent: float, rng: np.random.Generator, jitter_frac: float = 0.15
 ) -> Placement:
@@ -157,7 +143,7 @@ def grid(
     return Placement("grid", positions, _pair_consecutive(order))
 
 
-@register_topology("clustered")
+@TOPOLOGIES.register("clustered")
 def clustered(
     n_nodes: int,
     extent: float,
@@ -187,7 +173,7 @@ def clustered(
     return Placement("clustered", positions, tuple(flows))
 
 
-@register_topology("scale_free")
+@TOPOLOGIES.register("scale_free")
 def scale_free(
     n_nodes: int,
     extent: float,
@@ -259,7 +245,7 @@ def scale_free(
     return Placement("scale_free", positions, tuple(flows_out))
 
 
-@register_topology("hidden_terminal")
+@TOPOLOGIES.register("hidden_terminal")
 def hidden_terminal(
     n_nodes: int,
     extent: float,
@@ -295,7 +281,7 @@ def hidden_terminal(
     return Placement("hidden_terminal", positions, tuple(flows))
 
 
-@register_topology("exposed_terminal")
+@TOPOLOGIES.register("exposed_terminal")
 def exposed_terminal(
     n_nodes: int,
     extent: float,
@@ -337,7 +323,7 @@ def exposed_terminal(
     return Placement("exposed_terminal", positions, tuple(flows))
 
 
-@register_topology("line")
+@TOPOLOGIES.register("line")
 def line(
     n_nodes: int,
     extent: float,

@@ -84,15 +84,14 @@ class TestCliParity:
         ]
 
     def test_cli_metrics_byte_identical_to_direct_runs(self, capsys):
-        """The printed sweep aggregate equals the dict-era computation."""
+        """The printed sweep aggregate equals direct runs of the frozen
+        pre-Study expansion."""
         argv = ["--topology", "exposed_terminal", "--nodes", "4", "--nodes", "8",
                 "--duration", "0.1", "--no-cache"]
         assert run_scenarios.main(argv) == 0
         printed = capsys.readouterr().out
         args = run_scenarios.build_parser().parse_args(argv)
-        reference = aggregate_metrics(
-            [s.run().to_flow_dicts()[0] for s in legacy_build_scenarios(args)]
-        )
+        reference = aggregate_metrics([s.run() for s in legacy_build_scenarios(args)])
         for key in ("total_pps_mean", "total_pps_min", "total_pps_max"):
             assert f"{key}: {reference[key]:.4g}" in printed
 
@@ -149,25 +148,30 @@ class TestStudyFacade:
         assert warm.results() == results
 
     def test_mixed_old_and_new_cache_entries(self, tmp_path):
-        """A sweep where one entry predates the columnar format still lifts."""
+        """A sweep whose cache holds one pre-columnar entry (an inline
+        per-flow dict in the old ``<root>/<hh>/`` layout) and one current
+        entry: the old one misses and re-executes, the sweep equals a fresh
+        run, and nothing reaches ``concat`` but ResultSets."""
         study = Study(topology="line", duration_s=0.1).sweep(n_nodes=[4, 6])
         scenarios = study.scenarios()
+        fresh = ResultSet.concat([s.run() for s in scenarios])
         cache = ResultCache(tmp_path / "cache")
-        # Pre-seed task 0 with an old-format inline-JSON entry.
+        Study.of(scenarios[1:]).cache(cache).run()  # a current-layout entry
         task = scenario_task(scenarios[0])
-        legacy = scenarios[0].run().to_flow_dicts()[0]
-        path = cache._path(task.cache_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(
-            {"key": task.cache_key, "config": task.config, "result": legacy}
-        ))
+        old_path = tmp_path / "cache" / task.cache_key[:2] / f"{task.cache_key}.json"
+        old_path.parent.mkdir(parents=True, exist_ok=True)
+        old_path.write_text(json.dumps({
+            "key": task.cache_key,
+            "config": task.config,
+            "result": {"name": scenarios[0].name, "topology": "line",
+                       "total_pps": 1.0, "per_flow_pps": {"n000->n001": 1.0}},
+        }))
         run = study.cache(cache).run()
         assert run.report.cache_hits == 1 and run.report.executed == 1
-        results = run.results()
-        assert results.n_scenarios == 2
-        fresh = ResultSet.coerce([s.run() for s in scenarios])
-        assert results.to_flow_dicts() == fresh.to_flow_dicts()
+        assert all(isinstance(result, ResultSet) for result in run.raw)
+        assert run.results() == fresh
         assert run.aggregate() == aggregate_metrics(fresh)
+        assert run.summaries() == fresh.scenarios
 
     def test_task_study_explicit_and_swept(self):
         base = {"base_seed": 7}
@@ -257,8 +261,8 @@ class TestRegistries:
 
         try:
             rs = Scenario(topology="two_pair_test", n_nodes=4, duration_s=0.1).run()
-            assert rs["topology"] == "two_pair_test"
-            assert rs.n_flows == 1 and rs["total_pps"] > 0
+            assert rs.scenarios[0]["topology"] == "two_pair_test"
+            assert rs.n_flows == 1 and rs.scenarios[0]["total_pps"] > 0
         finally:
             registry.TOPOLOGIES.unregister("two_pair_test")
 
@@ -275,7 +279,8 @@ class TestRegistries:
             assert Scenario.from_config(custom.as_config()) == custom
             rs = custom.run()
             small = Scenario(traffic="saturated_small", **base).run()
-            assert rs["total_pps"] > small["total_pps"] > 0  # smaller frames -> more pps
+            # smaller frames -> more pps
+            assert rs.scenarios[0]["total_pps"] > small.scenarios[0]["total_pps"] > 0
         finally:
             registry.TRAFFIC_MODELS.unregister("saturated_small")
 

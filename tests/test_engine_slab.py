@@ -10,6 +10,7 @@ bounded tombstone growth under heavy cancellation (compaction), and a seeded
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.simulation.network as network_module
@@ -306,6 +307,11 @@ def test_slab_engine_matches_legacy_engine(topology, monkeypatch):
     monkeypatch.setattr(network_module, "Simulator", LegacySimulator)
     legacy_result = scenario.run()
 
-    assert slab_result["per_flow_pps"] == legacy_result["per_flow_pps"]
-    assert slab_result["events_processed"] == legacy_result["events_processed"]
+    assert np.array_equal(slab_result.src, legacy_result.src)
+    assert np.array_equal(slab_result.dst, legacy_result.dst)
+    assert np.array_equal(slab_result.delivered_pps, legacy_result.delivered_pps)
+    assert (
+        slab_result.scenarios[0]["events_processed"]
+        == legacy_result.scenarios[0]["events_processed"]
+    )
     assert slab_result == legacy_result

@@ -1,15 +1,19 @@
 """The declarative experiment API: registry, typed params, artifacts, CLI.
 
-Covers the PR 5 contract: every paper harness is a registered
-:class:`repro.api.Experiment`; running one through the new path produces an
-:class:`repro.api.Artifact` whose numbers are identical to the legacy
-module-level ``run()`` path (parity-pinned below, at reduced parameters);
-artifacts round-trip through disk; and both CLI grammars keep working.
+The contract: every paper harness is a registered
+:class:`repro.api.Experiment`; running one produces an
+:class:`repro.api.Artifact` whose numbers are identical to the experiment's
+raw ``runner`` body (parity-pinned below, at reduced parameters); artifacts
+round-trip through disk; and the CLI has one grammar (``list``/``describe``/
+``run``, plus the ``run-scenarios`` sweep flags).
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,9 @@ import pytest
 import repro.experiments  # noqa: F401 -- registers the builtin experiments
 from repro.api import EXPERIMENTS, Artifact, Param, ResultSet, experiment
 from repro.api.experiment import parse_overrides
-from repro.experiments import REGISTRY
-from repro.experiments.__main__ import SLOW_EXPERIMENTS, main
+from repro.experiments.__main__ import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 ALL_IDS = (
     "figure-02",
@@ -78,16 +83,8 @@ class TestDiscovery:
             assert exp.id == name
 
     def test_slow_tag_matches_historical_slow_tuple(self):
-        assert set(SLOW_EXPERIMENTS) == {"figures-10-11", "figures-12-13", "section-5"}
-
-    def test_legacy_registry_mirrors_experiments(self):
-        # Same ids and order as the pre-Experiment dict (minus run-scenarios,
-        # which has its own sweep grammar, and the post-dict networking
-        # experiments, which were never part of the legacy registry).
-        post_legacy = ("run-scenarios", "saturated-network", "bianchi-vs-sim")
-        assert list(REGISTRY) == [name for name in ALL_IDS if name not in post_legacy]
-        for name, runner in REGISTRY.items():
-            assert callable(runner)
+        slow = {name for name in EXPERIMENTS if "slow" in EXPERIMENTS[name].tags}
+        assert slow == {"figures-10-11", "figures-12-13", "section-5"}
 
     def test_plugin_experiment_registers_like_builtins(self):
         def body(x: float = 1.0):
@@ -180,11 +177,11 @@ def _assert_same(a, b, where):
 @pytest.mark.parametrize("name", ALL_IDS)
 def test_parity_new_path_matches_legacy(name):
     """Every registered experiment's numbers are identical through the
-    Experiment/Artifact path and the legacy run() path."""
+    Experiment/Artifact path and its raw run() body."""
     exp = EXPERIMENTS[name]
     kwargs = REDUCED[name]
     artifact = exp.run(**kwargs)
-    legacy = exp.legacy_run(**kwargs)
+    legacy = exp.runner(**{**exp.defaults, **kwargs})
 
     merged = artifact.data()
     for key, value in legacy.data.items():
@@ -301,23 +298,45 @@ class TestNewCli:
 
 
 class TestLegacyCliGrammar:
-    def test_no_args_lists_experiments(self, capsys):
-        assert main([]) == 0
-        out = capsys.readouterr().out
-        assert "Available experiments:" in out
-        assert "  figure-02\n" in out
-        assert "  section-5 (slow)\n" in out
-        assert "run-scenarios" in out
+    """The retired grammar (bare ids, the no-argument listing) is a usage
+    error: one experiment runs as ``run <id>``, and ``run-scenarios`` still
+    delegates to its sweep flags."""
+
+    @staticmethod
+    def _usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "list|describe|run" in err
+        return err
+
+    def test_no_args_is_a_usage_error(self, capsys):
+        self._usage_error(capsys, [])
+
+    def test_bare_id_is_a_usage_error(self, capsys):
+        err = self._usage_error(capsys, ["table-1"])
+        assert "table-1" in err
 
     def test_single_experiment_runs_and_prints_summary(self, capsys):
-        assert main(["figure-03"]) == 0
+        assert main(["run", "figure-03"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("== figure-03:")
         assert "notes:" in out
 
+    def test_module_entry_point_rejects_no_args(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments"],
+            capture_output=True, text=True, cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode != 0
+        assert "list|describe|run" in proc.stderr
+
     def test_unknown_experiment_fails(self, capsys):
-        assert main(["not-an-experiment"]) == 1
-        assert "unknown experiment" in capsys.readouterr().err
+        with pytest.raises(SystemExit, match="unknown experiment 'not-an-experiment'"):
+            main(["run", "not-an-experiment"])
 
     def test_run_scenarios_delegates(self, tmp_path, capsys):
         argv = [

@@ -1,13 +1,16 @@
-"""repro.results: columnar ResultSet construction, conversion, and storage.
+"""repro.results: columnar ResultSet construction, storage, and validation.
 
-The contract under test: the ResultSet is the native currency of scenario
-runs, and the legacy per-flow dict encoding survives round trips exactly --
-``from_flow_dicts(x).to_flow_dicts() == x`` for every seeded topology, old
-JSON cache entries load through the shim, and the binary form is lossless.
+The contract under test: the ResultSet is the one currency of scenario
+runs -- scenario scalars live in ``rs.scenarios``, per-flow values in typed
+columns -- its binary form is lossless for every seeded topology, codes
+that point outside the name table or scenario index are rejected at
+construction (including payloads read from disk), and cache entries written
+by the pre-columnar layout miss and re-execute.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -47,53 +50,42 @@ class TestScenarioRunProducesResultSet:
 
     def test_offered_pps_matches_counters(self):
         rs = small_resultset()
-        duration = rs["duration_s"]
+        duration = rs.scenarios[0]["duration_s"]
         assert np.array_equal(rs.offered_pps, rs.offered_packets / duration)
 
-    def test_legacy_subscript_shim(self):
+    def test_scenario_entry_carries_summary_scalars(self):
         rs = small_resultset()
-        legacy = rs.to_flow_dicts()[0]
-        for key in ("name", "topology", "n_nodes", "n_flows", "seed", "duration_s",
-                    "total_pps", "mean_flow_pps", "min_flow_pps", "max_flow_pps",
-                    "per_flow_pps", "events_processed"):
-            assert rs[key] == legacy[key]
-        assert rs.get("nonexistent", "fallback") == "fallback"
+        entry = rs.scenarios[0]
+        assert list(entry) == [
+            "name", "topology", "n_nodes", "n_flows", "seed", "duration_s",
+            "total_pps", "mean_flow_pps", "min_flow_pps", "max_flow_pps",
+            "events_processed",
+        ]
+        assert entry["n_flows"] == rs.n_flows
+        assert entry["events_processed"] > 0
+        with pytest.raises(TypeError):
+            rs["total_pps"]  # no dict-subscript view: read rs.scenarios
 
     def test_summary_scalars_match_per_flow_columns(self):
         rs = small_resultset()
-        assert rs["total_pps"] == float(sum(rs.delivered_pps.tolist()))
-        assert rs["min_flow_pps"] == rs.delivered_pps.min()
-        assert rs["max_flow_pps"] == rs.delivered_pps.max()
-
-    def test_multi_scenario_subscript_rejected(self):
-        both = ResultSet.concat([small_resultset(),
-                                 Scenario(topology="line", n_nodes=4,
-                                          duration_s=0.1, seed=1).run()])
-        with pytest.raises(KeyError, match="single-scenario"):
-            both["total_pps"]
-        # flow columns stay subscriptable at any width
-        assert len(both["delivered_pps"]) == both.n_flows
+        entry = rs.scenarios[0]
+        assert entry["total_pps"] == float(sum(rs.delivered_pps.tolist()))
+        assert entry["mean_flow_pps"] == float(np.mean(rs.delivered_pps))
+        assert entry["min_flow_pps"] == rs.delivered_pps.min()
+        assert entry["max_flow_pps"] == rs.delivered_pps.max()
 
 
 class TestRoundTripFidelity:
     @pytest.mark.parametrize(
         "scenario", ALL_TOPOLOGY_SCENARIOS, ids=lambda s: s.topology
     )
-    def test_from_to_flow_dicts_identity_every_topology(self, scenario):
-        """The acceptance property: from_flow_dicts(x).to_flow_dicts() == x."""
-        legacy = scenario.run().to_flow_dicts()
-        assert ResultSet.from_flow_dicts(legacy).to_flow_dicts() == legacy
-
-    def test_native_to_legacy_to_native_keeps_delivered_columns(self):
-        rs = small_resultset()
-        rehydrated = ResultSet.from_flow_dicts(rs.to_flow_dicts())
-        assert np.array_equal(rehydrated.delivered_pps, rs.delivered_pps)
-        assert np.array_equal(rehydrated.src, rs.src)
-        assert np.array_equal(rehydrated.dst, rs.dst)
-        assert rehydrated.scenarios == rs.scenarios
-        # legacy encoding never carried the extended columns
-        assert np.all(rehydrated.delivered_packets == -1)
-        assert np.all(np.isnan(rehydrated.offered_pps))
+    def test_bytes_round_trip_every_topology(self, scenario):
+        """Every seeded topology survives the binary encoding exactly."""
+        rs = scenario.run()
+        decoded = ResultSet.from_bytes(rs.to_bytes())
+        assert decoded == rs
+        # Row records compare NaN sentinels as text.
+        assert json.dumps(decoded.to_flow_records()) == json.dumps(rs.to_flow_records())
 
     def test_binary_round_trip_lossless(self, tmp_path):
         rs = ResultSet.concat([s.run() for s in ALL_TOPOLOGY_SCENARIOS[:3]])
@@ -108,9 +100,51 @@ class TestRoundTripFidelity:
         assert decoded["n_flows"] == 2
         assert decoded["scenarios"][0]["topology"] == "exposed_terminal"
 
-    def test_bad_flow_key_rejected(self):
-        with pytest.raises(ValueError, match="src->dst"):
-            ResultSet.from_flow_dicts({"per_flow_pps": {"no-separator": 1.0}})
+
+class TestCodeValidation:
+    """Codes outside the node-name table or the scenario index are rejected
+    when the set is built, not when a column is read."""
+
+    @staticmethod
+    def _crafted(**overrides):
+        arrays = dict(
+            node_names=np.asarray(["a", "b"]),
+            src_code=np.asarray([0], dtype=np.int32),
+            dst_code=np.asarray([1], dtype=np.int32),
+            scenario_idx=np.asarray([0], dtype=np.int32),
+        )
+        arrays.update(overrides)
+        return arrays
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"dst_code": [-1]}, "dst_code"),
+        ({"dst_code": [2]}, "dst_code"),
+        ({"src_code": [-1]}, "src_code"),
+        ({"src_code": [5]}, "src_code"),
+        ({"scenario_idx": [-1]}, "scenario_idx"),
+        ({"scenario_idx": [1]}, "scenario_idx"),
+        ({"node_names": []}, "src_code"),
+    ], ids=["dst-neg", "dst-high", "src-neg", "src-high", "idx-neg", "idx-high", "no-names"])
+    def test_out_of_range_codes_rejected(self, overrides, match):
+        arrays = self._crafted(**{key: np.asarray(value) for key, value in overrides.items()})
+        with pytest.raises(ValueError, match=match):
+            ResultSet(scenarios=[{"name": "s"}], **arrays)
+
+    @pytest.mark.parametrize("field, codes", [
+        ("dst_code", [-1, 0]),
+        ("dst_code", [1, 99]),
+        ("src_code", [-3, 0]),
+        ("scenario_idx", [0, -1]),
+    ], ids=["dst-neg", "dst-high", "src-neg", "idx-neg"])
+    def test_crafted_payload_rejected_by_from_bytes(self, field, codes):
+        """A tampered cache sidecar or artifact fails on load, not on read."""
+        rs = small_resultset()
+        payload = dict(np.load(io.BytesIO(rs.to_bytes())))
+        payload[field] = np.asarray(codes, dtype=np.int32)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **payload)
+        with pytest.raises(ValueError, match=field):
+            ResultSet.from_bytes(buffer.getvalue())
 
 
 class TestCombinators:
@@ -145,7 +179,7 @@ class TestCombinators:
             # Groups are pruned to their own scenarios, so per-group scenario
             # reductions (e.g. mean total_pps per topology) are scoped right.
             assert all(s["topology"] == name for s in group.scenarios)
-            assert group["total_pps"] == by_topology[name].scenarios[0]["total_pps"]
+            assert group.scenarios[0]["total_pps"] == float(sum(group.delivered_pps.tolist()))
         by_dst = whole.group_by("dst")
         assert sum(g.n_flows for g in by_dst.values()) == whole.n_flows
 
@@ -155,7 +189,7 @@ class TestCombinators:
         only_last = whole.filter(whole.scenario_idx == 2, prune_scenarios=True)
         assert only_last.scenarios == [whole.scenarios[2]]
         assert np.all(only_last.scenario_idx == 0)
-        assert only_last.to_flow_dicts() == parts[2].to_flow_dicts()
+        assert only_last == parts[2]
 
     def test_split_inverts_concat(self):
         parts = [s.run() for s in ALL_TOPOLOGY_SCENARIOS[:3]]
@@ -186,23 +220,29 @@ class TestCacheIntegration:
         assert second.results == first.results
         assert isinstance(second.results[0], ResultSet)
 
-    def test_old_format_json_entry_loads_through_shim(self, tmp_path):
-        """A pre-columnar cache entry (inline dict result) still serves."""
+    def test_old_layout_inline_dict_entry_misses_and_reexecutes(self, tmp_path):
+        """A pre-columnar entry (inline per-flow dict at ``<root>/<hh>/``)
+        is never served: the task re-executes into the current layout."""
         cache = ResultCache(tmp_path / "cache")
         scenario = ALL_TOPOLOGY_SCENARIOS[0]
         task = scenario_task(scenario)
-        legacy_result = scenario.run().to_flow_dicts()[0]
-        # Write the entry exactly as the pre-columnar cache did: inline JSON.
-        path = cache._path(task.cache_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(
-            {"key": task.cache_key, "config": task.config, "result": legacy_result}
-        ))
+        fresh = scenario.run()
+        old_path = tmp_path / "cache" / task.cache_key[:2] / f"{task.cache_key}.json"
+        old_path.parent.mkdir(parents=True)
+        old_path.write_text(json.dumps({
+            "key": task.cache_key,
+            "config": task.config,
+            "result": {"name": scenario.name, "total_pps": 1.0,
+                       "per_flow_pps": {"n000->n001": 1.0}},
+        }))
+        assert cache._path(task.cache_key) != old_path
+        assert cache.get(task.cache_key) is None and len(cache) == 0
         outcome = BatchRunner(workers=0, cache=cache).run([task])
-        assert outcome.report.cache_hits == 1
-        assert outcome.results[0] == legacy_result
-        lifted = ResultSet.coerce(outcome.results)
-        assert lifted.to_flow_dicts() == [legacy_result]
+        assert outcome.report.cache_hits == 0 and outcome.report.executed == 1
+        assert outcome.results == [fresh]
+        assert cache.get(task.cache_key)["result"] == fresh
+        again = BatchRunner(workers=0, cache=cache).run([task])
+        assert again.report.cache_hits == 1 and again.results == [fresh]
 
     @pytest.mark.parametrize("corruption", ["garbage", "truncated", "missing"])
     def test_corrupt_binary_sidecar_evicted_and_reexecuted(self, tmp_path, corruption):
