@@ -140,8 +140,8 @@ class Medium:
         "_locked_power_mw",
         "_locked_max_interference_mw",
         "_cca_live_mw",
-        "_cca_threshold_mw",
         "_busy_mirror",
+        "_cca_edge_mw",
         "_slot_radios",
         "_finishes_since_resync",
     )
@@ -192,12 +192,13 @@ class Medium:
         self._locked_mask: np.ndarray = np.zeros(0, dtype=bool)
         self._locked_power_mw: np.ndarray = np.zeros(0)
         self._locked_max_interference_mw: np.ndarray = np.zeros(0)
-        # Mirrors for the busy-edge check: per-slot CCA power sums, linear
-        # CCA thresholds (inf where carrier sense is disabled; captured at
-        # finalisation), and each radio's last busy/idle verdict.
+        # Mirrors for the busy-edge check: per-slot CCA power sums, each
+        # radio's last busy/idle verdict, and the linear CCA guard-band edge
+        # its sensed power must pass to flip that verdict (inf where carrier
+        # sense is disabled).
         self._cca_live_mw: np.ndarray = np.zeros(0)
-        self._cca_threshold_mw: np.ndarray = np.zeros(0)
         self._busy_mirror: np.ndarray = np.zeros(0, dtype=bool)
+        self._cca_edge_mw: np.ndarray = np.zeros(0)
         self._slot_radios: List["Radio"] = []
         self._finishes_since_resync = 0
 
@@ -346,8 +347,8 @@ class Medium:
         self._locked_power_mw = np.zeros(n)
         self._locked_max_interference_mw = np.zeros(n)
         self._cca_live_mw = np.zeros(n)
-        self._cca_threshold_mw = np.full(n, np.inf)
         self._busy_mirror = np.zeros(n, dtype=bool)
+        self._cca_edge_mw = np.full(n, np.inf)
         self._slot_radios = radios
         self._finishes_since_resync = 0
 
@@ -420,10 +421,6 @@ class Medium:
 
     # -- vectorized per-slot state (used by Radio) -------------------------------
 
-    def subfloor_noise_mw(self, slot: int) -> float:
-        """Currently-active sub-floor power arriving at the given radio slot."""
-        return float(self._subfloor_active_mw[slot])
-
     def _resync_subfloor(self) -> None:
         """Recompute the active sub-floor vector exactly (bounds float drift)."""
         self._finishes_since_resync = 0
@@ -448,11 +445,15 @@ class Medium:
         sub-floor power alone ever crossed its CCA threshold (possible with a
         small ``detectability_margin_db`` and many concurrent far senders).
         One vectorized compare finds candidate flips; only those radios pay a
-        Python call, which re-derives the exact verdict.
+        Python call, which re-derives the exact verdict.  A radio is a
+        candidate once its sensed power leaves its last verdict's side of
+        the CCA guard band (rises above the lower edge while idle, or falls
+        to the upper edge while busy), so power inside the band, where the
+        linear and dB compares may disagree, always reaches the exact check.
         """
         live = self._cca_live_mw + self._subfloor_active_mw
-        busy = (live > 0.0) & (live + self.noise_floor_mw > self._cca_threshold_mw)
-        changed = np.nonzero(mask & (busy != self._busy_mirror))[0]
+        maybe_busy = (live > 0.0) & (live + self.noise_floor_mw > self._cca_edge_mw)
+        changed = np.nonzero(mask & (maybe_busy != self._busy_mirror))[0]
         for slot in changed:
             self._slot_radios[slot]._update_busy_state()
 

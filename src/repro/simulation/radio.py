@@ -29,11 +29,16 @@ every CCA and SINR computation so totals match the unpruned path.
 Hot-path layout: the class uses ``__slots__``, the medium hands each
 notification the link's received power in *both* milliwatts and dBm (the dBm
 value comes from a table precomputed at finalisation, so the per-frame path
-never converts units), and the remaining dynamic dB conversions (SINR at
-decode time, CCA verdicts) go through :func:`_lin_to_db_scalar`, a lean
-scalar equivalent of :func:`repro.units.linear_to_db` that skips the array
-coercion and errstate machinery while producing bit-identical values for
-positive inputs.
+never converts units), and each notification reads the sub-floor power and
+writes the medium's mirrors inline -- the busy mirror only when the verdict
+flips.  CCA verdicts are linear compares against a guard band of
+``CCA_GUARD_BAND`` relative width either side of the threshold, whose edges
+the ``cca_threshold_dbm`` setter precomputes; only sensed power inside the
+band pays the exact ``_lin_to_db_scalar(sensed) > threshold`` compare, so
+every verdict equals the dB one.  :func:`_lin_to_db_scalar` (also used for
+SINR at decode time) is a lean scalar equivalent of
+:func:`repro.units.linear_to_db` that skips the array coercion and errstate
+machinery while producing bit-identical values for positive inputs.
 
 State-change notifications (channel busy/idle, frame received, transmission
 finished) are delivered to the owning MAC through callback attributes, which
@@ -57,6 +62,11 @@ __all__ = ["Radio", "RadioStats", "RESYNC_INTERVAL"]
 
 #: Mutations (frame starts + ends) between exact accumulator resyncs.
 RESYNC_INTERVAL: int = 1024
+
+#: Relative half-width of the guard band around the linear CCA threshold.
+#: The threshold's dBm -> mW conversion and ``np.log10`` round at ~1e-15
+#: relative, far inside the band, so linear verdicts outside it are exact.
+CCA_GUARD_BAND: float = 1e-9
 
 _np_log10 = np.log10
 
@@ -106,13 +116,14 @@ class Radio:
         "reception",
         "_slot",
         "_cca_threshold_dbm",
+        "_cca_idle_max_mw",
+        "_cca_busy_min_mw",
         "cca_noise_db",
         "rng",
         "stats",
         "_noise_floor_mw",
         "_incoming_power_mw",
         "_incoming_cca_power_mw",
-        "_incoming_tx",
         "_rx_sum_mw",
         "_cca_sum_mw",
         "_mutations_since_resync",
@@ -161,7 +172,6 @@ class Radio:
 
         self._incoming_power_mw: Dict[int, float] = {}
         self._incoming_cca_power_mw: Dict[int, float] = {}
-        self._incoming_tx: Dict[int, Transmission] = {}
         # Incremental accumulators over the two dicts above.
         self._rx_sum_mw = 0.0
         self._cca_sum_mw = 0.0
@@ -196,23 +206,19 @@ class Radio:
         self.medium._locked_mask[slot] = self._locked is not None
         self.medium._locked_power_mw[slot] = self._locked_power_mw
         self.medium._cca_live_mw[slot] = self._cca_sum_mw
-        self.medium._cca_threshold_mw[slot] = self._cca_threshold_mw()
         self.medium._busy_mirror[slot] = self._was_busy
+        self.medium._cca_edge_mw[slot] = self._cca_edge_mw()
         if self._locked is not None:
             self.medium._locked_max_interference_mw[slot] = (
                 self._locked_max_interference_local_mw
             )
 
-    def _subfloor_mw(self) -> float:
+    @property
+    def subfloor_noise_mw(self) -> float:
         """Active power from senders pruned out of per-frame notifications."""
         if self._slot is None:
             return 0.0
-        return self.medium.subfloor_noise_mw(self._slot)
-
-    @property
-    def subfloor_noise_mw(self) -> float:
-        """Public view of the pruned-sender power folded into this radio's noise."""
-        return self._subfloor_mw()
+        return float(self.medium._subfloor_active_mw[self._slot])
 
     # -- carrier sense ------------------------------------------------------------
 
@@ -221,22 +227,26 @@ class Radio:
         """CCA busy threshold (dBm); ``None`` disables carrier sense.
 
         A property so that mid-run threshold changes (tuned/adaptive CCA
-        experiments) also refresh the medium's linear-threshold mirror used
-        by the vectorized sub-floor busy-edge check.
+        experiments) also refresh the linear guard band of
+        :meth:`channel_busy` and its mirror in the medium, used by the
+        vectorized sub-floor busy-edge check.
         """
         return self._cca_threshold_dbm
 
     @cca_threshold_dbm.setter
     def cca_threshold_dbm(self, value: Optional[float]) -> None:
         self._cca_threshold_dbm = value
+        # Carrier sense off: both edges are +inf, so every verdict is idle.
+        threshold_mw = np.inf if value is None else float(10.0 ** (value / 10.0))
+        self._cca_idle_max_mw = threshold_mw * (1.0 - CCA_GUARD_BAND)
+        self._cca_busy_min_mw = threshold_mw * (1.0 + CCA_GUARD_BAND)
         if self._slot is not None:
-            self.medium._cca_threshold_mw[self._slot] = self._cca_threshold_mw()
+            self.medium._cca_edge_mw[self._slot] = self._cca_edge_mw()
 
-    def _cca_threshold_mw(self) -> float:
-        """Linear threshold for the medium's mirror (inf: carrier sense off)."""
-        if self._cca_threshold_dbm is None:
-            return np.inf
-        return float(10.0 ** (self._cca_threshold_dbm / 10.0))
+    def _cca_edge_mw(self) -> float:
+        """The guard-band edge sensed power must pass to flip the last verdict
+        (the medium mirrors it for the vectorized sub-floor busy-edge check)."""
+        return self._cca_busy_min_mw if self._was_busy else self._cca_idle_max_mw
 
     @property
     def carrier_sense_enabled(self) -> bool:
@@ -248,7 +258,7 @@ class Radio:
 
     def sensed_power_mw(self) -> float:
         """Total power the CCA circuit estimates (includes measurement noise)."""
-        return self._cca_sum_mw + self._subfloor_mw() + self._noise_floor_mw
+        return self._cca_sum_mw + self.subfloor_noise_mw + self._noise_floor_mw
 
     def sensed_power_dbm(self) -> float:
         return _lin_to_db_scalar(self.sensed_power_mw())
@@ -262,43 +272,34 @@ class Radio:
             self.medium._above_sum_mw[self._slot] = self._rx_sum_mw
             self.medium._cca_live_mw[self._slot] = self._cca_sum_mw
 
-    def _note_mutation(self) -> None:
-        if not self._incoming_power_mw:
-            # An empty channel is the cheapest exact state: reset outright so
-            # drift can never outlive a quiet moment.
-            self._rx_sum_mw = 0.0
-            self._cca_sum_mw = 0.0
-            self._mutations_since_resync = 0
-            if self._slot is not None:
-                self.medium._above_sum_mw[self._slot] = 0.0
-                self.medium._cca_live_mw[self._slot] = 0.0
-            return
-        if self._slot is not None:
-            self.medium._above_sum_mw[self._slot] = self._rx_sum_mw
-            self.medium._cca_live_mw[self._slot] = self._cca_sum_mw
-        self._mutations_since_resync += 1
-        if self._mutations_since_resync >= RESYNC_INTERVAL:
-            self.resync_power_accumulators()
-
     def channel_busy(self) -> bool:
         """CCA verdict: busy when sensed power exceeds the threshold.
 
         With carrier sense disabled the channel always appears idle, and a
         radio never considers the channel busy because of its *own*
-        transmission (the MAC already knows when it is transmitting).
+        transmission (the MAC already knows when it is transmitting).  The
+        verdict equals ``sensed_power_dbm() > cca_threshold_dbm`` exactly;
+        the logarithm is only taken inside the guard band.
         """
-        if self._cca_threshold_dbm is None:
+        slot = self._slot
+        subfloor_mw = 0.0 if slot is None else float(self.medium._subfloor_active_mw[slot])
+        if not self._incoming_cca_power_mw and subfloor_mw == 0.0:
             return False
-        if not self._incoming_cca_power_mw and self._subfloor_mw() == 0.0:
+        sensed_mw = self._cca_sum_mw + subfloor_mw + self._noise_floor_mw
+        if sensed_mw <= self._cca_idle_max_mw:
             return False
-        return self.sensed_power_dbm() > self._cca_threshold_dbm
+        if sensed_mw > self._cca_busy_min_mw:
+            return True
+        return _lin_to_db_scalar(sensed_mw) > self._cca_threshold_dbm
 
     def _update_busy_state(self) -> None:
         busy = self.channel_busy()
-        if self._slot is not None:
-            self.medium._busy_mirror[self._slot] = busy
         if busy != self._was_busy:
             self._was_busy = busy
+            slot = self._slot
+            if slot is not None:
+                self.medium._busy_mirror[slot] = busy
+                self.medium._cca_edge_mw[slot] = self._cca_edge_mw()
             if busy:
                 self._busy_since = self.sim.now
                 self.on_channel_busy()
@@ -348,20 +349,29 @@ class Radio:
 
     # -- reception ------------------------------------------------------------------
 
-    def _lock_onto(self, tx: Transmission, power_mw: float, power_dbm: Optional[float] = None) -> None:
+    def _lock_onto(
+        self,
+        tx: Transmission,
+        power_mw: float,
+        power_dbm: Optional[float] = None,
+        interference_mw: Optional[float] = None,
+    ) -> None:
+        """Lock onto ``tx``; ``interference_mw`` is its current interference
+        (all other power), when the caller has already computed it."""
         self._locked = tx
         self._locked_power_mw = power_mw
         self._locked_power_dbm = (
             power_dbm if power_dbm is not None else _lin_to_db_scalar(power_mw)
         )
-        interference = self._total_interference_excluding(tx.tx_id)
+        if interference_mw is None:
+            interference_mw = self._total_interference_excluding(tx.tx_id)
         if self._slot is None:
-            self._locked_max_interference_local_mw = interference
+            self._locked_max_interference_local_mw = interference_mw
             return
         medium = self.medium
         medium._locked_mask[self._slot] = True
         medium._locked_power_mw[self._slot] = power_mw
-        medium._locked_max_interference_mw[self._slot] = interference
+        medium._locked_max_interference_mw[self._slot] = interference_mw
 
     def _unlock(self) -> None:
         self._locked = None
@@ -372,17 +382,6 @@ class Radio:
         if self._slot is None:
             return self._locked_max_interference_local_mw
         return float(self.medium._locked_max_interference_mw[self._slot])
-
-    def _raise_locked_max_interference(self, interference_mw: float) -> None:
-        if self._slot is None:
-            self._locked_max_interference_local_mw = max(
-                self._locked_max_interference_local_mw, interference_mw
-            )
-        else:
-            slot = self._slot
-            self.medium._locked_max_interference_mw[slot] = max(
-                self.medium._locked_max_interference_mw[slot], interference_mw
-            )
 
     def incoming_started(
         self, tx: Transmission, power_mw: float, power_dbm: Optional[float] = None
@@ -397,14 +396,24 @@ class Radio:
             power_dbm = _lin_to_db_scalar(power_mw)
         tx_id = tx.tx_id
         self._incoming_power_mw[tx_id] = power_mw
-        self._rx_sum_mw += power_mw
-        self._incoming_tx[tx_id] = tx
         cca_power_mw = power_mw
         if self.cca_noise_db > 0:
             cca_power_mw *= float(10.0 ** (self.rng.normal(0.0, self.cca_noise_db) / 10.0))
         self._incoming_cca_power_mw[tx_id] = cca_power_mw
-        self._cca_sum_mw += cca_power_mw
-        self._note_mutation()
+        # Commit the accumulators and their medium mirrors (a resync every
+        # RESYNC_INTERVAL mutations re-derives both from the dicts).
+        medium = self.medium
+        slot = self._slot
+        mutations = self._mutations_since_resync + 1
+        if mutations >= RESYNC_INTERVAL:
+            self.resync_power_accumulators()
+        else:
+            self._mutations_since_resync = mutations
+            self._rx_sum_mw += power_mw
+            self._cca_sum_mw += cca_power_mw
+            if slot is not None:
+                medium._above_sum_mw[slot] = self._rx_sum_mw
+                medium._cca_live_mw[slot] = self._cca_sum_mw
 
         if self._transmitting is not None:
             self.stats.frames_missed_while_busy += 1
@@ -414,7 +423,7 @@ class Radio:
                 interference_mw = self._total_interference_excluding(tx_id)
                 sinr_db = _lin_to_db_scalar(power_mw / (self._noise_floor_mw + interference_mw))
                 if sinr_db >= reception.preamble_snr_threshold_db:
-                    self._lock_onto(tx, power_mw, power_dbm)
+                    self._lock_onto(tx, power_mw, power_dbm, interference_mw)
         else:
             reception = self.reception
             if (
@@ -445,22 +454,47 @@ class Radio:
                     )
                 )
             else:
-                self._raise_locked_max_interference(
-                    self._total_interference_excluding(self._locked.tx_id)
+                # Track the locked frame's worst-case interference.
+                interference_mw = (
+                    self._rx_sum_mw - self._incoming_power_mw[self._locked.tx_id]
                 )
+                if slot is None:
+                    if interference_mw > self._locked_max_interference_local_mw:
+                        self._locked_max_interference_local_mw = interference_mw
+                else:
+                    interference_mw += medium._subfloor_active_mw[slot]
+                    if interference_mw > medium._locked_max_interference_mw[slot]:
+                        medium._locked_max_interference_mw[slot] = interference_mw
         self._update_busy_state()
 
     def incoming_ended(self, tx: Transmission) -> None:
         """Called by the medium when a (detectable) transmission ends."""
         tx_id = tx.tx_id
-        power_mw = self._incoming_power_mw.pop(tx_id, None)
-        if power_mw is not None:
-            self._rx_sum_mw -= power_mw
+        incoming = self._incoming_power_mw
+        power_mw = incoming.pop(tx_id, None)
         cca_power_mw = self._incoming_cca_power_mw.pop(tx_id, None)
-        if cca_power_mw is not None:
-            self._cca_sum_mw -= cca_power_mw
-        self._incoming_tx.pop(tx_id, None)
-        self._note_mutation()
+        # Commit the accumulators and their medium mirrors, as on a start.
+        slot = self._slot
+        mutations = self._mutations_since_resync + 1
+        if incoming and mutations >= RESYNC_INTERVAL:
+            self.resync_power_accumulators()
+        else:
+            if incoming:
+                if power_mw is not None:
+                    self._rx_sum_mw -= power_mw
+                if cca_power_mw is not None:
+                    self._cca_sum_mw -= cca_power_mw
+            else:
+                # An empty channel is the cheapest exact state: reset
+                # outright so drift can never outlive a quiet moment.
+                self._rx_sum_mw = 0.0
+                self._cca_sum_mw = 0.0
+                mutations = 0
+            self._mutations_since_resync = mutations
+            if slot is not None:
+                medium = self.medium
+                medium._above_sum_mw[slot] = self._rx_sum_mw
+                medium._cca_live_mw[slot] = self._cca_sum_mw
 
         locked = self._locked
         if locked is not None and locked.tx_id == tx_id:
@@ -479,8 +513,7 @@ class Radio:
 
     def _total_interference_excluding(self, tx_id: int) -> float:
         """All interfering power except ``tx_id``: detectable plus sub-floor."""
-        return (
-            self._rx_sum_mw
-            - self._incoming_power_mw.get(tx_id, 0.0)
-            + self._subfloor_mw()
-        )
+        interference_mw = self._rx_sum_mw - self._incoming_power_mw.get(tx_id, 0.0)
+        if self._slot is None:
+            return interference_mw
+        return interference_mw + float(self.medium._subfloor_active_mw[self._slot])

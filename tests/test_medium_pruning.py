@@ -20,6 +20,7 @@ from repro.simulation.frames import Frame, FrameKind
 from repro.simulation.medium import Medium, Transmission
 from repro.simulation.phy import ReceptionModel
 from repro.simulation.radio import RESYNC_INTERVAL, Radio
+from repro.units import linear_to_db
 
 
 def build_medium(positions, detectability_margin_db=16.0, cca=-82.0):
@@ -121,15 +122,16 @@ class TestMediumFinalize:
 
     def test_threshold_change_refreshes_medium_mirror(self):
         # Mid-run CCA threshold changes (tuned/adaptive experiments) must
-        # keep the medium's linear-threshold mirror for the sub-floor
-        # busy-edge check in sync.
+        # keep the medium's linear guard-band edge for the sub-floor
+        # busy-edge check in sync (the lower edge: the radio is idle).
         _sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR})
         medium.finalize()
         slot = radios["a"]._slot
         radios["a"].cca_threshold_dbm = -70.0
-        assert medium._cca_threshold_mw[slot] == pytest.approx(10.0 ** (-7.0))
+        assert medium._cca_edge_mw[slot] == pytest.approx(10.0 ** (-7.0))
+        assert medium._cca_edge_mw[slot] == radios["a"]._cca_idle_max_mw
         radios["a"].cca_threshold_dbm = None
-        assert medium._cca_threshold_mw[slot] == np.inf
+        assert medium._cca_edge_mw[slot] == np.inf
 
     def test_subfloor_power_change_fires_busy_idle_callbacks(self):
         # With a tight margin, aggregate sub-floor power alone can cross a
@@ -158,6 +160,48 @@ class TestMediumFinalize:
         unpruned_events, _, unpruned_sim = run_one(None)
         unpruned_sim.run()
         assert pruned_events == unpruned_events == ["busy", "idle"]
+
+    def test_subfloor_busy_edge_sync_decides_at_the_threshold_exactly(self):
+        # Within an ulp of the threshold the medium's linear compare and the
+        # radio's dB compare can disagree.  A busy radio whose sub-floor power
+        # drops to a value the linear compare still calls busy, but the dB
+        # compare calls idle, must still get its idle edge: otherwise a MAC
+        # waiting on on_channel_idle stalls until the next above-floor edge.
+        for threshold_dbm in (-93.0, -92.0, -91.0, -90.0, -85.0, -82.0, -80.0):
+            _sim, medium, radios = build_medium(
+                {"a": (0.0, 0.0), "far": FAR}, cca=threshold_dbm
+            )
+            medium.finalize()
+            radio = radios["a"]
+            noise_mw = radio._noise_floor_mw
+            threshold_mw = 10.0 ** (threshold_dbm / 10.0)
+            base = np.float64(threshold_mw - noise_mw)
+            # Sub-floor powers a few ulps around the threshold (the radio's
+            # sensed total is (0.0 + sub-floor) + noise floor).
+            disagreeing = [
+                s for s in (
+                    float((base.view(np.int64) + k).view(np.float64))
+                    for k in range(-8, 9)
+                )
+                if (s + noise_mw > threshold_mw)
+                and not (float(linear_to_db(s + noise_mw)) > threshold_dbm)
+            ]
+            if disagreeing:
+                break
+        assert disagreeing, "no threshold where the linear and dB compares disagree"
+        events = []
+        radio.on_channel_busy = lambda: events.append("busy")
+        radio.on_channel_idle = lambda: events.append("idle")
+        slot = radio._slot
+        everyone = np.ones(len(medium._slot_radios), dtype=bool)
+        medium._subfloor_active_mw[slot] = 10.0 * threshold_mw
+        medium._sync_subfloor_busy_edges(everyone)
+        assert events == ["busy"]
+        medium._subfloor_active_mw[slot] = disagreeing[0]
+        medium._sync_subfloor_busy_edges(everyone)
+        assert events == ["busy", "idle"]
+        assert not radio.channel_busy()
+        assert not medium._busy_mirror[slot]
 
     def test_subfloor_resync_restores_exact_state(self):
         sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR, "far": FAR})
@@ -319,6 +363,31 @@ class TestPrunedUnprunedEquivalence:
             topology_params={"n_clusters": 6, "spread_frac": 0.008},
         )
         _assert_equivalent(scenario)
+
+
+class TestMirrorInvariant:
+    """The medium's per-slot mirrors equal the radios' own state at every
+    checkpoint of a pruned run, exactly (no tolerance)."""
+
+    @staticmethod
+    def _assert_mirrors(medium):
+        for slot, radio in enumerate(medium._slot_radios):
+            assert medium._busy_mirror[slot] == radio._was_busy
+            assert medium._cca_edge_mw[slot] == radio._cca_edge_mw()
+            assert medium._locked_mask[slot] == (radio._locked is not None)
+            assert medium._above_sum_mw[slot] == radio._rx_sum_mw
+            assert medium._cca_live_mw[slot] == radio._cca_sum_mw
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("extent_m", [120.0, 2000.0])
+    def test_mirrors_match_radio_state(self, topology, extent_m):
+        scenario = _scenario(topology, extent_m=extent_m, cca_noise_db=2.0)
+        net, _ = scenario.build_network()
+        net.start()
+        for checkpoint in np.linspace(0.0, scenario.duration_s, 9)[1:]:
+            net.sim.run(until=checkpoint)
+            self._assert_mirrors(net.medium)
+        assert net.sim.events_processed > 0
 
 
 class TestLazyNotifyTables:
