@@ -25,7 +25,9 @@ workstation), every recording also measures a fixed pure-Python calibration
 workload, and the gate compares *calibration-normalized* throughput --
 events per second per calibration op per second -- which cancels
 machine/interpreter speed to first order.  Wall-clock benches are reported
-for the trajectory but never gated.
+for the trajectory but never gated, and neither is the ``phy_decode`` entry:
+the per-call cost of ``ReceptionModel.decide`` (median + IQR in
+microseconds) over a fixed seeded batch, recorded on every run.
 """
 
 from __future__ import annotations
@@ -168,6 +170,54 @@ def measure_events_per_sec(smoke: bool, rounds: int) -> Dict[str, Any]:
     }
 
 
+def measure_phy_decode(rounds: int = 7, n_decodes: int = 20_000) -> Dict[str, Any]:
+    """Microseconds per ``ReceptionModel.decide`` call over a fixed batch.
+
+    The batch is seeded and identical every round: DATA (1400 B) and ACK
+    frames at 6/12/24 Mbps, with SINRs drawn uniformly from -20..40 dB, so
+    it spans both saturated sides of the error model and the waterfall
+    between them.  Reported as the median and interquartile range of the
+    per-round unit cost; informational only (never gated).
+    """
+    _ensure_src_on_path()
+    import numpy as np
+
+    from repro.capacity.rates import ACK_BYTES, rate_by_mbps
+    from repro.simulation.frames import Frame, FrameKind
+    from repro.simulation.phy import ReceptionModel
+
+    frames = [
+        Frame(kind, "a", "b", payload, rate_by_mbps(mbps))
+        for mbps in (6.0, 12.0, 24.0)
+        for kind, payload in ((FrameKind.DATA, 1400), (FrameKind.ACK, ACK_BYTES))
+    ]
+    sinrs = np.random.default_rng(7).uniform(-20.0, 40.0, size=n_decodes).tolist()
+    batch = [(frames[i % len(frames)], sinr) for i, sinr in enumerate(sinrs)]
+    model = ReceptionModel()
+    decide = model.decide
+
+    def one_pass() -> float:
+        rng = np.random.default_rng(0)
+        start = time.perf_counter()
+        for frame, sinr in batch:
+            decide(frame, sinr, rng)
+        return time.perf_counter() - start
+
+    one_pass()  # warm-up, so no round pays first-call costs
+    walls = [one_pass() for _ in range(rounds)]
+    unit_us = [wall / n_decodes * 1e6 for wall in walls]
+    q1, _, q3 = statistics.quantiles(unit_us, n=4)
+    return {
+        "mean_s": statistics.fmean(walls),
+        "p50_s": statistics.median(walls),
+        "min_s": min(walls),
+        "rounds": rounds,
+        "decodes": n_decodes,
+        "us_per_decode_p50": statistics.median(unit_us),
+        "us_per_decode_iqr": q3 - q1,
+    }
+
+
 def record(smoke: bool, rounds: int) -> Dict[str, Any]:
     benches = run_pytest_benchmarks(smoke)
     if not smoke:
@@ -175,6 +225,7 @@ def record(smoke: bool, rounds: int) -> Dict[str, Any]:
     # Always record the smoke-size direct bench: it is the entry CI's
     # regression gate compares against the committed full-mode baseline.
     benches["large_scenario_events_smoke"] = measure_events_per_sec(True, rounds)
+    benches["phy_decode"] = measure_phy_decode()
     return {
         "schema": SCHEMA_VERSION,
         "mode": "smoke" if smoke else "full",
@@ -249,6 +300,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, bench in sorted(document["benches"].items()):
         rate = bench.get("events_per_sec")
         rate_part = f", {rate:,.0f} events/s" if rate is not None else ""
+        if "us_per_decode_p50" in bench:
+            rate_part = (
+                f", {bench['us_per_decode_p50']:.2f} us/decode "
+                f"(IQR {bench['us_per_decode_iqr']:.2f})"
+            )
         print(f"  {name}: mean {bench['mean_s']:.3f}s, p50 {bench['p50_s']:.3f}s{rate_part}")
 
     if args.check_against:

@@ -8,13 +8,23 @@ and an independent-bit-error packet-error model.  The resulting per-rate PER
 curves have the familiar waterfall shape: ~0 above the rate's minimum SNR and
 ~1 a few dB below it, which is all the reproduction's conclusions depend on
 (the paper's own model is even coarser -- pure Shannon capacity).
+
+The simulator evaluates the PER once per decoded frame, through the scalar
+path.  Far from the waterfall the floating-point result is a constant --
+exactly 0.0 above it and (for frames long enough) exactly 1.0 below it -- so
+the scalar path memoises two *saturation edges* per (rate, payload): the
+SNRs where the unchanged ``pow``/``erfc``/``log1p``/``exp`` chain stops
+returning those constants, found by bisection and pushed 0.5 dB outward
+(:data:`SATURATION_GUARD_DB`).  Outside the edges the constant is returned
+after one compare; between them the chain runs exactly as before, so every
+value is bit-identical to the array path.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.special import erfc
@@ -102,17 +112,20 @@ def coded_ber(snr_db: ArrayLike, rate: RateInfo) -> ArrayLike:
     return raw_ber(np.asarray(snr_db, dtype=float) + gain, rate)
 
 
-def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int) -> float:
-    """Scalar fast path: no array coercion, ``np.clip``, or ``errstate``.
+#: Width (dB) by which each bisected saturation edge is pushed outward before
+#: the scalar path trusts it (see :func:`_saturation_edges_db`).
+SATURATION_GUARD_DB = 0.5
 
-    Bit-identical to the vectorized path on the same input (pinned by
-    tests/test_capacity_rates_errors.py): the transcendental steps that
-    numpy evaluates with its own kernels (``power``, ``exp``, ``log1p``,
-    ``erfc``) stay numpy/scipy scalar calls -- ``math``'s libm versions can
-    differ in the last ulp -- while the pure-IEEE arithmetic (multiply,
-    divide, ``sqrt``, min/max) runs as plain Python float ops.  The packet
-    simulator calls this once per decoded frame, which is why the array
-    machinery overhead was worth removing (ROADMAP open item).
+
+def _packet_error_rate_chain(snr_db: float, rate: RateInfo, payload_bytes: int) -> float:
+    """The full scalar PER computation, with no saturation shortcut.
+
+    Bit-identical to the vectorized path on the same input: the
+    transcendental steps that numpy evaluates with its own kernels
+    (``power``, ``exp``, ``log1p``, ``erfc``) stay numpy/scipy scalar calls
+    -- ``math``'s libm versions can differ in the last ulp -- while the
+    pure-IEEE arithmetic (multiply, divide, ``sqrt``, min/max) runs as plain
+    Python float ops.
     """
     bits_per_symbol = _MODULATION_BITS.get(rate.modulation)
     if bits_per_symbol is None:
@@ -144,6 +157,81 @@ def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int)
     if per > 1.0:
         return 1.0
     return per
+
+
+def _bisect_edge_db(below_db: float, above_db: float, below_side: Callable[[float], bool]) -> float:
+    """Last SNR on the ``below_side`` of a transition, to float resolution.
+
+    ``below_side(below_db)`` must hold and ``below_side(above_db)`` must not.
+    """
+    while True:
+        mid_db = 0.5 * (below_db + above_db)
+        if mid_db in (below_db, above_db):
+            return below_db
+        if below_side(mid_db):
+            below_db = mid_db
+        else:
+            above_db = mid_db
+
+
+#: Bracket for the edge search; every rate/payload saturates well inside it.
+_EDGE_SEARCH_DB = (-100.0, 200.0)
+
+
+@lru_cache(maxsize=256)
+def _saturation_edges_db(rate: RateInfo, payload_bytes: int) -> Tuple[float, float]:
+    """``(low_db, high_db)``: the PER is exactly 1.0 at or below ``low_db``
+    and exactly 0.0 at or above ``high_db``.
+
+    Each edge is where the unchanged chain (:func:`_packet_error_rate_chain`)
+    stops returning the saturated constant, found by bisection and then
+    pushed outward by :data:`SATURATION_GUARD_DB`.  The guard is what makes
+    the shortcut exact.  Over every rate and payloads 1..2304 bytes, 0.5 dB
+    past the upper edge the bit error rate is at least 86x below the point
+    where ``1 - exp(bits*log1p(-ber))`` first rounds to 0, and 0.5 dB below
+    the lower edge the exponent ``bits*log1p(-ber)`` is at least 0.025%
+    larger in magnitude than where ``1 - exp(...)`` first rounds to 1 (the
+    tightest case is 10-byte frames at 24 Mbps) -- ~10^12 ulps, a margin no
+    last-ulp behaviour of ``pow``/``erfc`` can cross.  An edge the curve
+    never reaches (small payloads never round to a PER of exactly 1.0) is
+    NaN, which no comparison selects.  Costs ~120 chain evaluations (under
+    half a millisecond), once per (rate, payload).
+    """
+    def per(snr_db: float) -> float:
+        return _packet_error_rate_chain(snr_db, rate, payload_bytes)
+
+    bottom_db, top_db = _EDGE_SEARCH_DB
+    per_bottom, per_top = per(bottom_db), per(top_db)
+    low_db = high_db = math.nan
+    # The chain clamps to [0, 1], so ">= 1.0" means "is 1.0" and "> 0.0"
+    # means "is not 0.0".
+    if per_bottom >= 1.0 and per_top < 1.0:
+        low_db = _bisect_edge_db(bottom_db, top_db, lambda x: per(x) >= 1.0)
+        low_db -= SATURATION_GUARD_DB
+    if per_bottom > 0.0 and per_top <= 0.0:
+        high_db = _bisect_edge_db(bottom_db, top_db, lambda x: per(x) > 0.0)
+        high_db += SATURATION_GUARD_DB
+    return low_db, high_db
+
+
+def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int) -> float:
+    """Scalar PER, bit-identical to the vectorized path and to the full
+    chain (pinned on every rate and at both guard edges by
+    ``TestScalarFastPath`` in tests/test_capacity_rates_errors.py).
+
+    Outside the saturation edges of :func:`_saturation_edges_db` the result
+    is a provable constant and is returned after one compare; between them
+    the full chain runs unchanged.  NaN fails both compares and reaches the
+    chain, which propagates it; +/-inf land on the side the chain agrees
+    with.  The packet simulator calls this once per decoded frame, and over
+    half of those decodes are saturated.
+    """
+    low_db, high_db = _saturation_edges_db(rate, payload_bytes)
+    if snr_db >= high_db:
+        return 0.0
+    if snr_db <= low_db:
+        return 1.0
+    return _packet_error_rate_chain(snr_db, rate, payload_bytes)
 
 
 def packet_error_rate(snr_db: ArrayLike, rate: RateInfo, payload_bytes: int = 1400) -> ArrayLike:

@@ -27,6 +27,9 @@ class FrameKind(Enum):
     CTS = "cts"
 
 
+_DATA = FrameKind.DATA
+
+
 class FlowTag(NamedTuple):
     """End-to-end flow metadata a traffic source attaches to a packet.
 
@@ -104,7 +107,7 @@ class Frame:
     airtime_s: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        include_header = self.kind == FrameKind.DATA
+        include_header = self.kind is _DATA
         object.__setattr__(
             self,
             "airtime_s",

@@ -54,6 +54,13 @@ __all__ = ["CsmaMac"]
 _RTS_BYTES = 20
 _CTS_BYTES = 14
 
+# Enum members are singletons: the per-frame callbacks below test kinds by
+# identity against these module-level aliases (no class-attribute lookup).
+_DATA = FrameKind.DATA
+_ACK = FrameKind.ACK
+_RTS = FrameKind.RTS
+_CTS = FrameKind.CTS
+
 
 class CsmaMac(MacBase):
     """CSMA/CA (DCF) medium access with optional ACKs and RTS/CTS."""
@@ -330,7 +337,8 @@ class CsmaMac(MacBase):
             self._begin_access()
 
     def _on_transmit_complete(self, frame: Frame) -> None:
-        if frame.kind == FrameKind.DATA:
+        kind = frame.kind
+        if kind is _DATA:
             if frame.is_broadcast or not self.use_acks:
                 # Fire-and-forget traffic gives the adapter no better feedback
                 # than "the frame went out"; acknowledged traffic reports on
@@ -348,10 +356,10 @@ class CsmaMac(MacBase):
             if self.traffic is not None:
                 self.traffic.notify_sent(frame)
             self._advance_after_success()
-        elif frame.kind == FrameKind.RTS:
+        elif kind is _RTS:
             self._state = "wait_cts"
             self._timer.arm(self._cts_timeout_s, self._cts_timeout)
-        elif frame.kind in (FrameKind.ACK, FrameKind.CTS):
+        elif kind is _ACK or kind is _CTS:
             # Control responses need no follow-up; resume whatever was pending.
             if self._pending is not None and self._state == "responding":
                 self._begin_access()
@@ -367,13 +375,14 @@ class CsmaMac(MacBase):
         if not outcome.success:
             self.stats.rx_failed_frames += 1
             return
-        if frame.kind == FrameKind.DATA:
+        kind = frame.kind
+        if kind is _DATA:
             if frame.dst in (self.node_id, BROADCAST):
                 self.stats.rx_data_frames += 1
                 self.on_data_received(frame)
                 if self.use_acks and frame.dst == self.node_id:
                     self._schedule_ack(frame)
-        elif frame.kind == FrameKind.ACK:
+        elif kind is _ACK:
             if frame.dst == self.node_id and self._awaiting_ack_for is not None:
                 self._cancel_timer()
                 self.stats.acks_received += 1
@@ -387,12 +396,12 @@ class CsmaMac(MacBase):
                     self.traffic.notify_sent(delivered)
                 self._cw = self.cw_min
                 self._advance_after_success()
-        elif frame.kind == FrameKind.RTS:
+        elif kind is _RTS:
             if frame.dst == self.node_id:
                 self._schedule_cts(frame)
             else:
                 self._set_nav(frame)
-        elif frame.kind == FrameKind.CTS:
+        elif kind is _CTS:
             if frame.dst == self.node_id and self._awaiting_cts_for is not None:
                 self._cancel_timer()
                 self._awaiting_cts_for = None

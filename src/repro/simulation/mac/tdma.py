@@ -29,6 +29,8 @@ from .base import MacBase
 
 __all__ = ["TdmaSchedule", "TdmaMac"]
 
+_DATA = FrameKind.DATA
+
 
 @dataclass(frozen=True, slots=True)
 class TdmaSchedule:
@@ -224,6 +226,6 @@ class TdmaMac(MacBase):
         if not outcome.success:
             self.stats.rx_failed_frames += 1
             return
-        if frame.kind == FrameKind.DATA:
+        if frame.kind is _DATA:
             self.stats.rx_data_frames += 1
             self.on_data_received(frame)

@@ -16,19 +16,30 @@ conditions):
   the frame's duration even if a much stronger frame arrives; the later frame
   is treated purely as interference.  The paper notes its testbed behaved this
   way ("we used broadcast packets and did not have receive abort enabled").
+
+The decode runs once per locked frame, so it is kept cheap without changing
+a single outcome: :meth:`ReceptionModel.success_probability` calls the scalar
+error model directly, and that model answers SINRs outside its saturation
+edges -- where the PER is provably exactly 0.0 or 1.0 -- after one compare,
+running the full ``pow``/``erfc``/``log1p``/``exp`` chain only between them
+(see :func:`repro.capacity.error_models._saturation_edges_db`).  The SNR
+jitter is drawn as ``snr_jitter_db * rng.standard_normal()``, the same value
+``rng.normal(0.0, snr_jitter_db)`` yields from the same stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..capacity.error_models import packet_success_rate
-from ..capacity.rates import RateInfo
+from ..capacity.error_models import _packet_error_rate_scalar
 from .frames import Frame, FrameKind
 
 __all__ = ["ReceptionModel", "ReceptionOutcome"]
+
+_DATA = FrameKind.DATA
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +83,14 @@ class ReceptionModel:
     deterministic: bool = False
     control_rate_bonus_db: float = 3.0
 
+    def __post_init__(self) -> None:
+        for name in ("sensitivity_dbm", "snr_jitter_db", "preamble_snr_threshold_db",
+                     "capture_margin_db", "control_rate_bonus_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.snr_jitter_db < 0:
+            raise ValueError("snr_jitter_db must be non-negative")
+
     def detectable(self, rx_power_dbm: float) -> bool:
         """Whether a frame at this power can be locked onto at all."""
         return rx_power_dbm >= self.sensitivity_dbm
@@ -97,12 +116,19 @@ class ReceptionModel:
         return new_power_dbm >= locked_power_dbm + self.capture_margin_db
 
     def success_probability(self, frame: Frame, sinr_db: float) -> float:
-        """Probability that the frame decodes at the given SINR."""
-        effective_sinr = sinr_db
-        if frame.kind != FrameKind.DATA:
-            effective_sinr += self.control_rate_bonus_db
-        payload = max(frame.payload_bytes, 14)
-        return float(packet_success_rate(effective_sinr, frame.rate, payload))
+        """Probability that the frame decodes at the given SINR.
+
+        The single home of the control-frame SINR bonus and the payload
+        floor; :meth:`decide` goes through it on both branches.  It calls
+        the scalar error model directly, so saturated SINRs cost one compare
+        (see :mod:`repro.capacity.error_models`).
+        """
+        if frame.kind is not _DATA:
+            sinr_db += self.control_rate_bonus_db
+        payload = frame.payload_bytes
+        if payload < 14:
+            payload = 14
+        return 1.0 - _packet_error_rate_scalar(sinr_db, frame.rate, payload)
 
     def decide(self, frame: Frame, sinr_db: float, rng: np.random.Generator) -> ReceptionOutcome:
         """Decide whether the frame is received."""
@@ -112,7 +138,7 @@ class ReceptionModel:
         else:
             effective_sinr = sinr_db
             if self.snr_jitter_db > 0:
-                effective_sinr += float(rng.normal(0.0, self.snr_jitter_db))
+                effective_sinr += self.snr_jitter_db * rng.standard_normal()
             p = self.success_probability(frame, effective_sinr)
-            success = bool(rng.random() < p)
+            success = rng.random() < p
         return ReceptionOutcome(frame=frame, success=success, sinr_db=sinr_db, success_probability=p)

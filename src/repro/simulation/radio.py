@@ -47,6 +47,7 @@ the MAC sets when it attaches.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional
@@ -158,6 +159,8 @@ class Radio:
         #: Index into the medium's vectorized per-radio state; assigned when
         #: the medium finalises the topology.
         self._slot: Optional[int] = None
+        if not math.isfinite(cca_noise_db) or cca_noise_db < 0:
+            raise ValueError("cca_noise_db must be finite and non-negative")
         self.cca_threshold_dbm = cca_threshold_dbm
         # Per-frame measurement noise on the sensed power.  Real clear-channel
         # assessment is a noisy estimate, which is what makes marginal senders
@@ -235,6 +238,8 @@ class Radio:
 
     @cca_threshold_dbm.setter
     def cca_threshold_dbm(self, value: Optional[float]) -> None:
+        if value is not None and value != value:
+            raise ValueError("cca_threshold_dbm must not be NaN (None disables carrier sense)")
         self._cca_threshold_dbm = value
         # Carrier sense off: both edges are +inf, so every verdict is idle.
         threshold_mw = np.inf if value is None else float(10.0 ** (value / 10.0))
@@ -398,7 +403,7 @@ class Radio:
         self._incoming_power_mw[tx_id] = power_mw
         cca_power_mw = power_mw
         if self.cca_noise_db > 0:
-            cca_power_mw *= float(10.0 ** (self.rng.normal(0.0, self.cca_noise_db) / 10.0))
+            cca_power_mw *= float(10.0 ** (self.cca_noise_db * self.rng.standard_normal() / 10.0))
         self._incoming_cca_power_mw[tx_id] = cca_power_mw
         # Commit the accumulators and their medium mirrors (a resync every
         # RESYNC_INTERVAL mutations re-derives both from the dicts).

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.capacity.error_models import (
+    SATURATION_GUARD_DB,
     _gauss_hermite_rule,
+    _packet_error_rate_chain,
+    _packet_error_rate_scalar,
+    _saturation_edges_db,
     average_packet_success_rate,
     ber_bpsk,
     ber_mqam,
@@ -19,6 +23,7 @@ from repro.capacity.error_models import (
     raw_ber,
 )
 from repro.capacity.rates import (
+    DSSS_RATES,
     EXPERIMENT_RATE_SET,
     OFDM_RATES,
     RateInfo,
@@ -202,10 +207,40 @@ class TestAveragePacketSuccess:
             weights[0] = 0.0
 
 
+ALL_RATES = OFDM_RATES + DSSS_RATES
+PIN_PAYLOADS = (1, 14, 100, 1400, 2304)
+
+
+def _ulp_walk(center: float, ulps: int = 64) -> list:
+    """``center`` and the ``ulps`` representable doubles either side of it."""
+    points = [center]
+    below = above = center
+    for _ in range(ulps):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        points += [below, above]
+    return points
+
+
+def _pin_points(rate: RateInfo, payload: int) -> np.ndarray:
+    """A 0.05 dB grid, +/-64 ulps around both guard edges and around the raw
+    transitions they were widened from, and +/-inf / NaN."""
+    points = np.linspace(-40.0, 60.0, 2001).tolist() + [math.inf, -math.inf, math.nan]
+    low_db, high_db = _saturation_edges_db(rate, payload)
+    points += _ulp_walk(high_db) + _ulp_walk(high_db - SATURATION_GUARD_DB)
+    if not math.isnan(low_db):
+        points += _ulp_walk(low_db) + _ulp_walk(low_db + SATURATION_GUARD_DB)
+    return np.asarray(points)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 class TestScalarFastPath:
     """The float fast path of packet_error_rate is bit-identical to the
-    vectorized path (ROADMAP open item: skip the array machinery on the
-    per-frame decode, never change a single result)."""
+    vectorized path, and its saturation shortcut to the full chain (the
+    per-frame decode must never change a single result)."""
 
     def _vectorized_reference(self, snr_db, rate, payload_bytes):
         # Route through the array path by wrapping in a 1-element array.
@@ -240,6 +275,46 @@ class TestScalarFastPath:
     def test_invalid_payload_still_rejected(self):
         with pytest.raises(ValueError):
             packet_error_rate(10.0, rate_by_mbps(6.0), payload_bytes=0)
+
+    @pytest.mark.parametrize("rate", ALL_RATES, ids=lambda rate: f"{rate.mbps:g}Mbps")
+    def test_scalar_equals_array_and_full_chain_at_edges(self, rate):
+        assert len(ALL_RATES) == 12
+        for payload in PIN_PAYLOADS:
+            snrs = _pin_points(rate, payload)
+            per_array = packet_error_rate(snrs, rate, payload)
+            psr_array = packet_success_rate(snrs, rate, payload)
+            for i, snr in enumerate(snrs.tolist()):
+                per = packet_error_rate(snr, rate, payload)
+                where = f"{rate.mbps} Mbps, {payload} B, snr {snr!r}"
+                assert type(per) is float, where
+                assert _same(per, float(per_array[i])), where
+                assert _same(packet_success_rate(snr, rate, payload), float(psr_array[i])), where
+                assert _same(per, _packet_error_rate_chain(snr, rate, payload)), where
+
+    @pytest.mark.parametrize("payload", PIN_PAYLOADS)
+    def test_edges_bound_the_saturated_constants(self, payload):
+        for rate in ALL_RATES:
+            low_db, high_db = _saturation_edges_db(rate, payload)
+            assert _packet_error_rate_chain(high_db, rate, payload) == 0.0
+            assert _packet_error_rate_chain(math.inf, rate, payload) == 0.0
+            floor_per = _packet_error_rate_chain(-math.inf, rate, payload)
+            if math.isnan(low_db):
+                # No lower edge exactly when the curve never rounds to 1.0.
+                assert floor_per < 1.0
+                assert _packet_error_rate_scalar(-math.inf, rate, payload) == floor_per
+            else:
+                assert low_db < high_db
+                assert floor_per == 1.0
+                assert _packet_error_rate_chain(low_db, rate, payload) == 1.0
+
+    def test_edges_are_memoised(self):
+        rate = OFDM_RATES[0]
+        assert _saturation_edges_db(rate, 1400) is _saturation_edges_db(rate, 1400)
+
+    def test_unknown_modulation_still_raises(self):
+        bogus = RateInfo(7.0, "OOK", 1 / 2, 28, 6.0)
+        with pytest.raises(KeyError):
+            packet_error_rate(10.0, bogus)
 
     def test_success_rate_complement_uses_fast_path_value(self):
         rate = rate_by_mbps(24.0)

@@ -254,3 +254,76 @@ class TestReceptionModel:
         assert model.captures(-50.0, -65.0)
         assert not model.captures(-60.0, -65.0)
         assert not model.captures(-95.0, -120.0)  # below sensitivity
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.5, 2.0, 3.0, 7.3])
+    def test_scaled_standard_normal_matches_normal(self, scale):
+        """The decode jitter and CCA noise draw ``s * standard_normal()``:
+        the value ``normal(0, s)`` returns, leaving the same generator state."""
+        reference = np.random.default_rng(12345)
+        fast = np.random.default_rng(12345)
+        for i in range(5_000):
+            assert scale * fast.standard_normal() == reference.normal(0.0, scale)
+            if i % 3 == 0:
+                assert fast.random() == reference.random()
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+
+class TestBoundaryValidation:
+    """Bad PHY/radio inputs fail at construction, not as silently changed
+    behaviour deep in the event loop (e.g. a NaN jitter reading as "off")."""
+
+    FIELDS = (
+        "sensitivity_dbm",
+        "snr_jitter_db",
+        "preamble_snr_threshold_db",
+        "capture_margin_db",
+        "control_rate_bonus_db",
+    )
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_reception_model_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ReceptionModel(**{field: value})
+
+    def test_reception_model_rejects_negative_jitter(self):
+        with pytest.raises(ValueError, match="snr_jitter_db"):
+            ReceptionModel(snr_jitter_db=-0.5)
+
+    def test_reception_model_accepts_zero_jitter(self):
+        assert ReceptionModel(snr_jitter_db=0.0).snr_jitter_db == 0.0
+
+    def _radio(self, **kwargs):
+        sim = Simulator()
+        medium = Medium(sim, ChannelModel(rng=np.random.default_rng(0)))
+        return Radio("a", sim, medium, **kwargs)
+
+    def test_radio_rejects_negative_cca_noise(self):
+        with pytest.raises(ValueError, match="cca_noise_db"):
+            self._radio(cca_noise_db=-1.0)
+
+    def test_radio_rejects_nan_cca_noise(self):
+        with pytest.raises(ValueError, match="cca_noise_db"):
+            self._radio(cca_noise_db=float("nan"))
+
+    def test_radio_rejects_nan_cca_threshold(self):
+        with pytest.raises(ValueError, match="cca_threshold_dbm"):
+            self._radio(cca_threshold_dbm=float("nan"))
+
+    def test_threshold_setter_rejects_nan_and_keeps_old_value(self):
+        radio = self._radio(cca_threshold_dbm=-82.0)
+        with pytest.raises(ValueError, match="cca_threshold_dbm"):
+            radio.cca_threshold_dbm = float("nan")
+        assert radio.cca_threshold_dbm == -82.0
+        radio.cca_threshold_dbm = None  # still the carrier-sense off switch
+        assert not radio.carrier_sense_enabled
+
+    def test_network_builder_surfaces_radio_rejections(self):
+        from repro.simulation.network import WirelessNetwork
+
+        net = WirelessNetwork(cca_noise_db=-2.0)
+        with pytest.raises(ValueError, match="cca_noise_db"):
+            net.add_node("a", (0.0, 0.0))
+        net = WirelessNetwork(cca_threshold_dbm=float("nan"))
+        with pytest.raises(ValueError, match="cca_threshold_dbm"):
+            net.add_node("a", (0.0, 0.0))
